@@ -68,3 +68,56 @@ pub fn run(
     }
     Ok((report, clean))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rbv_telemetry::Json;
+    use rbv_workloads::AppId;
+
+    fn num(doc: &Json, path: &[&str]) -> f64 {
+        path.iter()
+            .try_fold(doc, |j, key| j.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("ledger lacks numeric {path:?}"))
+    }
+
+    /// The CI cluster smoke spec (`repro cluster rubis --requests 600
+    /// --overload 1.0 --seed 42`): the written ledger's cross-tier
+    /// attribution is exact and covers the three tiers.
+    #[test]
+    fn cluster_cmd_ledger_partitions_every_request_across_three_tiers() {
+        let dir = std::env::temp_dir().join("rbv-clustercmd-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cluster.json");
+        let mut spec = ClusterSpec::three_tier(AppId::Rubis);
+        spec.requests = 600;
+        spec.overload = 1.0;
+        spec.seed = 42;
+        let (_, clean) = run(&spec, Some(&path), false, None).expect("cluster cmd");
+        assert!(clean);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = Json::parse(text.trim()).expect("ledger parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("rbv-cluster/v1")
+        );
+        assert_eq!(num(&doc, &["trace", "invariants", "violations"]), 0.0);
+        assert!(num(&doc, &["trace", "invariants", "checks"]) > 0.0);
+        assert_eq!(
+            num(&doc, &["trace", "completed"]) + num(&doc, &["trace", "failed"]),
+            num(&doc, &["requests"])
+        );
+        assert_eq!(num(&doc, &["trace", "unfinished"]), 0.0);
+        let tiers: std::collections::BTreeSet<&str> = doc
+            .get("trace")
+            .and_then(|t| t.get("tiers"))
+            .and_then(Json::as_array)
+            .expect("trace.tiers")
+            .iter()
+            .map(|t| t.get("tier").and_then(Json::as_str).expect("tier label"))
+            .collect();
+        assert_eq!(tiers, ["app", "db", "frontend"].into_iter().collect());
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -318,6 +318,34 @@ mod tests {
         );
     }
 
+    /// The CI powered-serve smoke spec (`repro serve web --requests 2000
+    /// --overload 0.55 --seed 42 --power --thermal --guard`): the written
+    /// ledger's energy accounting is exact and nonzero.
+    #[test]
+    fn powered_serve_cmd_ledger_conserves_energy() {
+        let dir = std::env::temp_dir().join("rbv-servecmd-power-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.json");
+        let mut spec = ServeSpec::new(AppId::WebServer, 2000, 42);
+        spec.overload = 0.55;
+        spec.power = true;
+        spec.thermal = true;
+        spec.guard = true;
+        run(&spec, false, Some(&path), false, None, false).expect("powered serve");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = rbv_telemetry::Json::parse(text.trim()).expect("ledger parses");
+        let energy = doc.get("energy").expect("powered ledger has energy");
+        let field = |key: &str| {
+            energy
+                .get(key)
+                .and_then(rbv_telemetry::Json::as_f64)
+                .unwrap_or_else(|| panic!("energy lacks {key}"))
+        };
+        assert_eq!(field("conservation_violations"), 0.0);
+        assert!(field("joules") > 0.0);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn traced_serve_cmd_writes_spans_and_reports_attribution() {
         let dir = std::env::temp_dir().join("rbv-servecmd-trace-test");

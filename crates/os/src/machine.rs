@@ -40,6 +40,7 @@
 #![allow(clippy::expect_used)]
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_core::series::{Metric, SamplePeriod, Timeline};
@@ -255,10 +256,9 @@ impl Machine {
     /// the machine-local request id, which tags the eventual
     /// [`CompletedRequest`] from [`Machine::drain_finished`].
     ///
-    /// Injected requests take the same path as an inter-machine stage
-    /// hop: a `HopWakeup` event delivery straight into a runqueue —
-    /// admission control is the ingress machine's business, not the
-    /// receiving tier's.
+    /// Injected requests arrive as a `HopWakeup` event delivered straight
+    /// into a runqueue — admission control is the ingress machine's
+    /// business, not the receiving tier's.
     pub fn inject(&mut self, request: Request, at: Cycles) -> usize {
         debug_assert!(request.validate().is_ok());
         let engine = &mut self.engine;
@@ -286,7 +286,6 @@ impl Machine {
             predictor: VaEwma::new(alpha, PREDICTOR_UNIT),
             pending_transition: None,
             last_syscall: None,
-            stage_marks: Vec::new(),
             noise_rng: engine.rng.fork_labeled(id as u64),
             attempt: 0,
             queued_at: at,
@@ -349,8 +348,8 @@ enum Event {
     Resched { core: usize, epoch: u64 },
     /// Open-loop request arrival.
     Arrival,
-    /// A request finishes its inter-machine network hop and becomes
-    /// runnable on the destination machine.
+    /// A request injected by a cluster loop ([`Machine::inject`]) finishes
+    /// its network hop and becomes runnable on this machine.
     HopWakeup { rid: usize },
     /// The closed-loop client retries admission after backoff (overload
     /// protection). `gen` is the client attempt generation at scheduling
@@ -399,7 +398,6 @@ struct LiveRequest {
     predictor: VaEwma,
     pending_transition: Option<(Option<SyscallName>, SyscallName, f64)>,
     last_syscall: Option<SyscallName>,
-    stage_marks: Vec<(f64, f64)>,
     noise_rng: SimRng,
     /// Client attempt generation: 0 for the first submission, bumped on
     /// every client-timeout resubmission. Stale timer events carrying an
@@ -713,7 +711,8 @@ impl<'s> Engine<'s> {
                     self.schedule_next_arrival();
                 }
                 Event::HopWakeup { rid } => {
-                    // The request may have been deadline-aborted mid-hop.
+                    // A request failed before its wake-up has nothing to
+                    // enqueue.
                     if self.live[rid].is_some() {
                         self.enqueue_runnable(rid);
                     }
@@ -806,7 +805,6 @@ impl<'s> Engine<'s> {
             predictor: VaEwma::new(alpha, PREDICTOR_UNIT),
             pending_transition: None,
             last_syscall: None,
-            stage_marks: Vec::new(),
             noise_rng: self.rng.fork_labeled(id as u64),
             attempt: 0,
             queued_at: self.queue.now(),
@@ -1154,31 +1152,17 @@ impl<'s> Engine<'s> {
     }
 
     /// The least-loaded core eligible for a request's current component
-    /// (respecting multi-machine placement and component affinity).
+    /// (respecting component affinity), first minimum on ties. The parked
+    /// core is skipped unless it is the only candidate.
     fn least_loaded_core(&self, rid: usize) -> usize {
-        let mut candidates: Vec<usize> = if let Some(mm) = self.cfg.multi_machine {
-            // The request runs on the machine hosting its current
-            // component's tier.
-            let component = self.live[rid]
-                .as_ref()
-                .expect("enqueued request is live")
-                .stage()
-                .component;
-            let machine = mm.machine_of(component);
-            let per_machine = self.cores.len() / mm.machines;
-            (machine * per_machine..(machine + 1) * per_machine).collect()
-        } else if self.cfg.component_affinity {
+        let candidates = if self.cfg.component_affinity {
             self.affinity_cores(rid)
         } else {
-            (0..self.cores.len()).collect()
+            0..self.cores.len()
         };
-        if let Some(parked) = self.parked_core() {
-            if candidates.len() > 1 {
-                candidates.retain(|&c| c != parked);
-            }
-        }
+        let parked = self.parked_core().filter(|_| candidates.len() > 1);
         candidates
-            .into_iter()
+            .filter(|&c| Some(c) != parked)
             .min_by_key(|&c| self.runqueues[c].len() + usize::from(self.cores[c].running.is_some()))
             .expect("at least one core")
     }
@@ -1187,7 +1171,7 @@ impl<'s> Engine<'s> {
     /// [`SimConfig::component_affinity`]: web tier on core 0, application
     /// tier on the middle cores, database on the last core; standalone
     /// components may run anywhere.
-    fn affinity_cores(&self, rid: usize) -> Vec<usize> {
+    fn affinity_cores(&self, rid: usize) -> Range<usize> {
         use rbv_workloads::Component;
         let n = self.cores.len();
         let component = self.live[rid]
@@ -1196,16 +1180,10 @@ impl<'s> Engine<'s> {
             .stage()
             .component;
         match component {
-            Component::WebTier => vec![0],
-            Component::AppTier => {
-                if n > 2 {
-                    (1..n - 1).collect()
-                } else {
-                    (0..n).collect()
-                }
-            }
-            Component::Database => vec![n - 1],
-            Component::Standalone => (0..n).collect(),
+            Component::WebTier => 0..1,
+            Component::AppTier if n > 2 => 1..n - 1,
+            Component::Database => n - 1..n,
+            Component::AppTier | Component::Standalone => 0..n,
         }
     }
 
@@ -1540,32 +1518,14 @@ impl<'s> Engine<'s> {
         }
 
         let lr = self.live[rid].as_mut().expect("running is live");
-        lr.stage_marks.push((lr.cum_ins, lr.cum_cycles));
         if lr.stage_idx + 1 < lr.request.stages.len() {
             // Propagate the request context to the next component (§2.1):
-            // the socket hop re-enters the scheduler on another runqueue —
-            // after a network delay when the next tier lives on another
-            // machine of a distributed deployment (§7).
-            let from = lr.stage().component;
+            // the socket hop re-enters the scheduler on another runqueue.
             lr.stage_idx += 1;
             lr.phase_idx = 0;
             lr.next_syscall = 0;
             lr.ins_in_stage = 0.0;
-            let to = lr.stage().component;
-            let crosses_machines = self
-                .cfg
-                .multi_machine
-                .is_some_and(|mm| mm.machine_of(from) != mm.machine_of(to));
-            if crosses_machines {
-                let delay = self
-                    .cfg
-                    .multi_machine
-                    .expect("checked above")
-                    .network_hop_delay;
-                self.queue.schedule_after(delay, Event::HopWakeup { rid });
-            } else {
-                self.enqueue_runnable(rid);
-            }
+            self.enqueue_runnable(rid);
         } else {
             if !flushed {
                 self.teardown_flush(rid);
@@ -1579,7 +1539,6 @@ impl<'s> Engine<'s> {
                 syscalls: lr.syscalls,
                 arrived_at: lr.arrived_at,
                 finished_at: now,
-                stage_marks: lr.stage_marks,
             });
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.record(TraceEvent::RequestEnd {
@@ -2779,7 +2738,6 @@ impl<'s> Engine<'s> {
         lr.syscalls.clear();
         lr.pending_transition = None;
         lr.last_syscall = None;
-        lr.stage_marks.clear();
         lr.queued_at = now;
     }
 
@@ -3619,99 +3577,6 @@ mod bigram_policy_tests {
             "most transitions should know their predecessor ({with_prev}/{})",
             r.transitions.len()
         );
-    }
-}
-
-#[cfg(test)]
-mod multi_machine_tests {
-    use super::*;
-    use crate::config::{MultiMachine, SimConfig};
-    use rbv_mem::MachineSpec;
-    use rbv_workloads::{Rubis, Tpcc};
-
-    fn cluster_cfg(machines: usize, hop_micros: u64) -> SimConfig {
-        let mut cfg = SimConfig::paper_default();
-        cfg.machine = MachineSpec::xeon_5160_cluster(machines);
-        cfg.multi_machine = Some(MultiMachine {
-            machines,
-            network_hop_delay: Cycles::from_micros(hop_micros),
-        });
-        cfg.concurrency = machines * 6;
-        cfg
-    }
-
-    #[test]
-    fn three_tier_rubis_runs_across_three_machines() {
-        let mut f = Rubis::new(71, 0.2);
-        let r = run_simulation(cluster_cfg(3, 50), &mut f, 20).expect("valid");
-        assert_eq!(r.completed.len(), 20);
-        for c in &r.completed {
-            // Two inter-machine hops each way are pure latency: wall time
-            // must exceed CPU time by at least the two hop delays.
-            let slack = c.latency().as_f64() - c.cpu_cycles();
-            assert!(
-                slack >= 2.0 * Cycles::from_micros(50).as_f64() * 0.98,
-                "hop delay missing: slack {slack}"
-            );
-        }
-    }
-
-    #[test]
-    fn network_delay_lengthens_latency_not_cpu() {
-        let run = |hop: u64| {
-            let mut f = Rubis::new(72, 0.2);
-            run_simulation(cluster_cfg(3, hop), &mut f, 15).expect("valid")
-        };
-        let fast_net = run(10);
-        let slow_net = run(500);
-        let mean_latency = |r: &RunResult| {
-            r.completed
-                .iter()
-                .map(|c| c.latency().as_f64())
-                .sum::<f64>()
-                / r.completed.len() as f64
-        };
-        let mean_cpu = |r: &RunResult| {
-            r.completed.iter().map(|c| c.cpu_cycles()).sum::<f64>() / r.completed.len() as f64
-        };
-        assert!(mean_latency(&slow_net) > mean_latency(&fast_net));
-        // CPU consumption is a property of the work, not the network.
-        let rel = (mean_cpu(&slow_net) / mean_cpu(&fast_net) - 1.0).abs();
-        assert!(rel < 0.1, "cpu drift {rel}");
-    }
-
-    #[test]
-    fn single_stage_apps_stay_on_machine_zero() {
-        let mut f = Tpcc::new(73, 0.05);
-        let cfg = cluster_cfg(2, 100);
-        let r = run_simulation(cfg, &mut f, 15).expect("valid");
-        assert_eq!(r.completed.len(), 15);
-        // No hops: latency ~ queueing only, no mandatory 2-hop slack on
-        // short requests (smoke check that nothing deadlocks).
-    }
-
-    #[test]
-    fn mismatched_domains_are_rejected() {
-        let mut cfg = SimConfig::paper_default(); // 1 memory domain
-        cfg.multi_machine = Some(MultiMachine {
-            machines: 2,
-            network_hop_delay: Cycles::from_micros(10),
-        });
-        let mut f = Tpcc::new(74, 0.05);
-        assert!(run_simulation(cfg, &mut f, 1).is_err());
-    }
-
-    #[test]
-    fn distributed_runs_are_deterministic() {
-        let run = || {
-            let mut f = Rubis::new(75, 0.1);
-            run_simulation(cluster_cfg(3, 80), &mut f, 10).expect("valid")
-        };
-        let (a, b) = (run(), run());
-        for (x, y) in a.completed.iter().zip(&b.completed) {
-            assert_eq!(x.finished_at, y.finished_at);
-            assert_eq!(x.timeline, y.timeline);
-        }
     }
 }
 

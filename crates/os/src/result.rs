@@ -36,10 +36,6 @@ pub struct CompletedRequest {
     pub arrived_at: Cycles,
     /// Completion time.
     pub finished_at: Cycles,
-    /// Cumulative `(instructions, cycles)` at the end of each stage, in
-    /// stage order — the per-component split a distributed deployment
-    /// exposes (§7 "local and inter-machine variations").
-    pub stage_marks: Vec<(f64, f64)>,
 }
 
 impl CompletedRequest {
@@ -74,23 +70,6 @@ impl CompletedRequest {
     /// End-to-end latency including queueing, in cycles.
     pub fn latency(&self) -> Cycles {
         self.finished_at.saturating_sub(self.arrived_at)
-    }
-
-    /// Per-stage CPI values, split at the recorded stage marks.
-    /// Single-stage requests yield one value (the request CPI).
-    pub fn stage_cpis(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.stage_marks.len());
-        let (mut prev_ins, mut prev_cycles) = (0.0, 0.0);
-        for &(ins, cycles) in &self.stage_marks {
-            let d_ins = ins - prev_ins;
-            let d_cycles = cycles - prev_cycles;
-            if d_ins > 0.0 {
-                out.push(d_cycles / d_ins);
-            }
-            prev_ins = ins;
-            prev_cycles = cycles;
-        }
-        out
     }
 }
 
@@ -645,7 +624,6 @@ mod tests {
             syscalls: vec![],
             arrived_at: Cycles::ZERO,
             finished_at: Cycles::new(1000),
-            stage_marks: vec![],
         }
     }
 

@@ -1,80 +1,61 @@
 //! The paper's §7 distributed future work, end to end: deploy the
 //! three-tier RUBiS service either consolidated on one 4-core machine or
 //! distributed across a three-machine cluster (web / application /
-//! database tiers on dedicated boxes with independent memory systems),
-//! and decompose each request's behavior per tier — the "local and
-//! inter-machine variations" the paper anticipates.
+//! database tiers on dedicated boxes over a modeled LAN), and decompose
+//! each request's behavior per tier — the "local and inter-machine
+//! variations" the paper anticipates.
 //!
 //! ```text
 //! cargo run --release --example distributed_rubis
 //! ```
 
-use request_behavior_variations::core::stats::{coefficient_of_variation, mean, percentile};
-use request_behavior_variations::mem::MachineSpec;
-use request_behavior_variations::os::config::MultiMachine;
-use request_behavior_variations::os::{run_simulation, RunResult, SimConfig};
-use request_behavior_variations::sim::Cycles;
-use request_behavior_variations::workloads::Rubis;
+use rbv_cluster::{run_cluster, ClusterReport, ClusterSpec, ClusterTopology};
+use request_behavior_variations::par::Pool;
+use request_behavior_variations::telemetry::QuantileSketch;
+use request_behavior_variations::workloads::AppId;
 
-fn report(label: &str, result: &RunResult) {
-    let latencies_ms: Vec<f64> = result
-        .completed
-        .iter()
-        .map(|c| c.latency().as_f64() / 3.0e6)
-        .collect();
-    let cpis = result.request_cpis();
+fn report(label: &str, r: &ClusterReport) {
+    let q = |s: &QuantileSketch, p: f64| s.quantile(p).unwrap_or(f64::NAN);
+    let s = &r.summary;
     println!(
-        "{label:24} requests {:4} | latency p50 {:.2} ms, p99 {:.2} ms | mean CPI {:.2}",
-        result.completed.len(),
-        percentile(&latencies_ms, 0.5).unwrap(),
-        percentile(&latencies_ms, 0.99).unwrap(),
-        mean(&cpis).unwrap(),
+        "{label:24} requests {:4} | latency p50 {:.0} µs, p99 {:.0} µs | {} network hops",
+        s.completed,
+        q(&s.client_visible_us, 0.5),
+        q(&s.client_visible_us, 0.99),
+        s.hops,
     );
-
-    // Per-tier decomposition: stage 0 = web tier, 1 = EJB tier, 2 = DB.
-    let tiers = ["web tier", "app tier (EJB)", "database"];
-    for (t, name) in tiers.iter().enumerate() {
-        let tier_cpis: Vec<f64> = result
-            .completed
-            .iter()
-            .filter_map(|c| c.stage_cpis().get(t).copied())
-            .collect();
-        let ones = vec![1.0; tier_cpis.len()];
+    for tier in &s.tiers {
         println!(
-            "  {name:16} mean CPI {:.2}, inter-request CoV {:.3}",
-            mean(&tier_cpis).unwrap_or(f64::NAN),
-            coefficient_of_variation(&ones, &tier_cpis).unwrap_or(0.0),
+            "  {:12} {:5} legs | leg p50 {:7.0} µs, p99 {:7.0} µs | CPI p50 {:.2}, p99 {:.2}",
+            tier.tier,
+            tier.legs,
+            q(&tier.leg_us, 0.5),
+            q(&tier.leg_us, 0.99),
+            q(&tier.cpi, 0.5),
+            q(&tier.cpi, 0.99),
         );
     }
 }
 
 fn main() {
-    let n = 150;
+    let pool = Pool::serial();
+    let mut spec = ClusterSpec::three_tier(AppId::Rubis);
+    spec.seed = 7;
 
     // --- Consolidated: all three tiers share one 4-core box.
-    let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
-    cfg.seed = 7;
-    let mut f = Rubis::new(7, 1.0);
-    let consolidated = run_simulation(cfg, &mut f, n).expect("valid");
+    spec.topology = ClusterTopology::Single;
+    let consolidated = run_cluster(&spec, &pool).expect("valid spec");
     report("consolidated (1 box)", &consolidated);
     println!();
 
-    // --- Distributed: one machine per tier, 60 us network hops.
-    let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
-    cfg.machine = MachineSpec::xeon_5160_cluster(3);
-    cfg.multi_machine = Some(MultiMachine {
-        machines: 3,
-        network_hop_delay: Cycles::from_micros(60),
-    });
-    cfg.concurrency = 18;
-    cfg.seed = 7;
-    let mut f = Rubis::new(7, 1.0);
-    let distributed = run_simulation(cfg, &mut f, n).expect("valid");
+    // --- Distributed: one machine per tier, LAN hops between them.
+    spec.topology = ClusterTopology::ThreeTier;
+    let distributed = run_cluster(&spec, &pool).expect("valid spec");
     report("distributed (3 boxes)", &distributed);
 
     println!();
-    println!("distribution isolates tiers (the database tier's CPI drops: it no longer");
-    println!("co-runs with EJB heap churn) at the price of two network hops per request");
-    println!("and per-tier load imbalance — the component-placement tradeoff the");
-    println!("paper's future-work section points at.");
+    println!("one box reports a single tier whose CPI mixes every component; the");
+    println!("cluster splits the same offered load over three boxes, separates the");
+    println!("tiers' CPI, and pays network hops per request for it — the");
+    println!("component-placement tradeoff the paper's future-work section points at.");
 }
